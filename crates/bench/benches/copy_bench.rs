@@ -14,7 +14,6 @@ fn bench_strided_h2d(c: &mut Criterion) {
         let dev = Device::new(DeviceConfig::tiny(64 << 20));
         let host = PinnedBuffer::from_vec(vec![1.0f32; pitch * rows]);
         let dbuf = dev.alloc::<f32>(total).unwrap();
-        dev.timeline().set_enabled(false);
         g.throughput(Throughput::Bytes((total * 4) as u64));
 
         let stream = dev.create_stream("many");

@@ -1,12 +1,11 @@
 //! Real-execution pipeline comparison at laptop scale — the miniature
-//! counterpart of paper Table 3: synchronous whole-slab GPU transform
-//! (Fig. 2) vs the batched asynchronous pipeline (Fig. 4) in PerSlab
-//! (config C) and PerPencil (config B) modes, plus the CPU slab transform.
+//! counterpart of paper Table 3: the whole-slab GPU transform (Fig. 2, the
+//! pipeline at `np = 1`) vs the batched asynchronous pipeline (Fig. 4) in
+//! PerSlab (config C) and PerPencil (config B) modes, plus the CPU slab
+//! transform.
 use criterion::{criterion_group, criterion_main, Criterion};
 use psdns_comm::Universe;
-use psdns_core::{
-    A2aMode, GpuSlabFft, GpuSyncSlabFft, LocalShape, PhysicalField, SlabFftCpu, Transform3d,
-};
+use psdns_core::{A2aMode, GpuSlabFft, LocalShape, PhysicalField, SlabFftCpu, Transform3d};
 use psdns_device::{Device, DeviceConfig};
 
 const N: usize = 32;
@@ -36,21 +35,8 @@ fn bench_pipelines(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("gpu_sync_whole_slab", |b| {
-        b.iter(|| {
-            Universe::run(P, |comm| {
-                let shape = LocalShape::new(N, P, comm.rank());
-                let dev = Device::new(DeviceConfig::tiny(256 << 20));
-                dev.timeline().set_enabled(false);
-                let mut fft = GpuSyncSlabFft::<f32>::new(shape, comm, dev);
-                let phys: Vec<_> = (0..NV).map(|v| make_phys(shape, v)).collect();
-                let spec = fft.physical_to_fourier(&phys);
-                fft.fourier_to_physical(&spec).len()
-            })
-        });
-    });
-
     for (label, np, mode) in [
+        ("gpu_sync_whole_slab", 1, A2aMode::PerSlab),
         ("gpu_async_per_slab_np3", 3, A2aMode::PerSlab),
         ("gpu_async_per_pencil_np3", 3, A2aMode::PerPencil),
     ] {
@@ -59,7 +45,6 @@ fn bench_pipelines(c: &mut Criterion) {
                 Universe::run(P, |comm| {
                     let shape = LocalShape::new(N, P, comm.rank());
                     let dev = Device::new(DeviceConfig::tiny(256 << 20));
-                    dev.timeline().set_enabled(false);
                     let mut fft = GpuSlabFft::<f32>::builder(shape)
                         .comm(comm)
                         .devices(vec![dev])

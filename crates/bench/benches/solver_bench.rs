@@ -44,7 +44,6 @@ fn bench_steps(c: &mut Criterion) {
             Universe::run(P, |comm| {
                 let shape = LocalShape::new(N, P, comm.rank());
                 let dev = Device::new(DeviceConfig::tiny(256 << 20));
-                dev.timeline().set_enabled(false);
                 let backend = GpuSlabFft::<f64>::builder(shape)
                     .comm(comm)
                     .devices(vec![dev])

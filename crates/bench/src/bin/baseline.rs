@@ -316,7 +316,6 @@ fn bench_pipeline(smoke: bool) -> Vec<BenchRecord> {
         Universe::run(P, |comm| {
             let shape = LocalShape::new(N, P, comm.rank());
             let dev = Device::new(DeviceConfig::tiny(256 << 20));
-            dev.timeline().set_enabled(false);
             let mut fft = GpuSlabFft::<f64>::builder(shape)
                 .comm(comm)
                 .devices(vec![dev])
@@ -345,7 +344,6 @@ fn bench_pipeline(smoke: bool) -> Vec<BenchRecord> {
         Universe::run(P, |comm| {
             let shape = LocalShape::new(N, P, comm.rank());
             let dev = Device::new(DeviceConfig::tiny(256 << 20));
-            dev.timeline().set_enabled(false);
             let mut fft = GpuSlabFft::<f64>::builder(shape)
                 .comm(comm)
                 .devices(vec![dev])

@@ -19,7 +19,6 @@ fn main() {
     let reps = 3;
 
     let dev = Device::new(DeviceConfig::tiny(64 << 20));
-    dev.timeline().set_enabled(false);
     let host = PinnedBuffer::from_vec(vec![1.0f32; 2 * elems]);
     let dbuf = dev.alloc::<f32>(elems).unwrap();
     let stream = dev.create_stream("fig7");

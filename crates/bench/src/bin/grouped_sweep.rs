@@ -32,7 +32,6 @@ fn main() {
         let rows = Universe::run(ranks, move |comm| {
             let shape = LocalShape::new(n, ranks, comm.rank());
             let dev = Device::new(DeviceConfig::tiny(256 << 20));
-            dev.timeline().set_enabled(false);
             let mut gpu = GpuSlabFft::<f32>::builder(shape)
                 .comm(comm.clone())
                 .devices(vec![dev])

@@ -159,8 +159,8 @@ impl<T: Real> PhysicalField<T> {
 }
 
 /// A distributed 3-D transform backend. Implementations: [`crate::SlabFftCpu`]
-/// (host), [`crate::GpuSyncSlabFft`] (Fig. 2), [`crate::GpuSlabFft`]
-/// (Fig. 4 async), [`crate::PencilFftCpu`] (2-D decomposition baseline).
+/// (host) and [`crate::GpuSlabFft`] (Fig. 4 async; Fig. 2 is its `np = 1`
+/// whole-slab case).
 ///
 /// Conventions: `fourier_to_physical` applies inverse transforms carrying
 /// the full `1/N³`; `physical_to_fourier` is unnormalized. The pair is an
@@ -221,24 +221,35 @@ pub trait Transform3d<T: Real> {
         up: &[PhysicalField<T>],
         wp: &[PhysicalField<T>],
     ) -> [PhysicalField<T>; 3] {
-        let s = self.shape();
-        assert_eq!(up.len(), 3);
-        assert_eq!(wp.len(), 3);
-        let mut nl = [
-            PhysicalField::zeros(s),
-            PhysicalField::zeros(s),
-            PhysicalField::zeros(s),
-        ];
-        for i in 0..s.phys_len() {
-            let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
-            let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
-            nl[0].data[i] = u1 * w2 - u2 * w1;
-            nl[1].data[i] = u2 * w0 - u0 * w2;
-            nl[2].data[i] = u0 * w1 - u1 * w0;
-        }
+        let mut nl = host_cross_product(self.shape(), up, wp);
         crate::integrity::inject_kernel_corrupt(self.comm(), "cross", &mut nl);
         nl
     }
+}
+
+/// Pointwise `u × ω` on the host: the kernel of the default
+/// [`Transform3d::cross_product`], and the device path's fallback when the
+/// device cannot run it.
+pub(crate) fn host_cross_product<T: Real>(
+    s: LocalShape,
+    up: &[PhysicalField<T>],
+    wp: &[PhysicalField<T>],
+) -> [PhysicalField<T>; 3] {
+    assert_eq!(up.len(), 3);
+    assert_eq!(wp.len(), 3);
+    let mut nl = [
+        PhysicalField::zeros(s),
+        PhysicalField::zeros(s),
+        PhysicalField::zeros(s),
+    ];
+    for i in 0..s.phys_len() {
+        let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
+        let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
+        nl[0].data[i] = u1 * w2 - u2 * w1;
+        nl[1].data[i] = u2 * w0 - u0 * w2;
+        nl[2].data[i] = u0 * w1 - u1 * w0;
+    }
+    nl
 }
 
 #[cfg(test)]

@@ -129,7 +129,6 @@ pub struct GpuFftBuilder<T: Real> {
     nv: usize,
     tracer: Option<psdns_trace::Tracer>,
     cpu_fallback: bool,
-    a2a_watchdog: Option<std::time::Duration>,
     watchdog: Option<WatchdogPolicy>,
     schedule_log: Option<OrderingLog>,
     host_threads: usize,
@@ -147,7 +146,6 @@ impl<T: Real> GpuFftBuilder<T> {
             nv: 1,
             tracer: None,
             cpu_fallback: false,
-            a2a_watchdog: None,
             watchdog: None,
             schedule_log: None,
             host_threads: 1,
@@ -224,16 +222,6 @@ impl<T: Real> GpuFftBuilder<T> {
     pub fn host_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1);
         self.host_threads = threads;
-        self
-    }
-
-    /// Bound every all-to-all wait: a transpose whose peers have not
-    /// delivered within `timeout` fails with
-    /// [`psdns_comm::CommError::Timeout`] instead of hanging — the paper's
-    /// collectives at scale are exactly where a wedged rank otherwise stalls
-    /// the whole machine.
-    pub fn a2a_watchdog(mut self, timeout: std::time::Duration) -> Self {
-        self.a2a_watchdog = Some(timeout);
         self
     }
 
@@ -316,9 +304,6 @@ impl<T: Real> GpuFftBuilder<T> {
             for d in &self.devices {
                 d.attach_tracer(&rank_tracer);
             }
-        }
-        if self.a2a_watchdog.is_some() {
-            comm.set_a2a_watchdog(self.a2a_watchdog);
         }
         if let Some(p) = self.watchdog {
             // One policy arms both layers. The a2a floor gets 4× headroom
@@ -465,6 +450,39 @@ struct Group {
     axis: Range<usize>,
 }
 
+/// One direction's global transpose: the pencil groups, each group's pinned
+/// send buffer and in-flight all-to-all, and the per-(pencil, device) D2H
+/// events a group's post joins.
+struct Exchange<T: Real> {
+    groups: Vec<Group>,
+    send: Vec<PinnedBuffer<Complex<T>>>,
+    d2h_done: Vec<Vec<Event>>,
+    requests: Vec<Option<Request<Complex<T>>>>,
+}
+
+/// Paper Fig. 4 op order over `np` pencils: the head ops (H2D + compute)
+/// of pencil `step` are posted before the tail ops (pack + D2H) of pencil
+/// `step − 1`, so the transfer stream never stalls behind a pack waiting on
+/// compute ("a H2D copy for the next pencil is also posted at this time",
+/// §3.4).
+fn pipelined(np: usize, mut head: impl FnMut(usize), mut tail: impl FnMut(usize)) {
+    for step in 0..=np {
+        if step < np {
+            head(step);
+        }
+        if step >= 1 {
+            tail(step - 1);
+        }
+    }
+}
+
+/// A fresh `[pencil][device]` grid of events.
+fn event_grid(np: usize, gpus: usize) -> Vec<Vec<Event>> {
+    (0..np)
+        .map(|_| (0..gpus).map(|_| Event::new()).collect())
+        .collect()
+}
+
 /// `[read, write]` over one device-buffer range — the access signature of
 /// an in-place FFT kernel.
 fn rw_device(buffer: u64, len: usize) -> Vec<Access> {
@@ -538,17 +556,6 @@ impl<T: Real> GpuSlabFft<T> {
         }
     }
 
-    /// Armed output-staging scan: count NaN/Inf in an unstaged buffer and
-    /// fail the call (typed, post-collective) on any hit.
-    fn scan_unstaged(&self, count: u64) -> Result<(), Error> {
-        if self.scan_nonfinite && count > 0 {
-            return Err(Error::Integrity(
-                crate::integrity::IntegrityError::NonFinite { count },
-            ));
-        }
-        Ok(())
-    }
-
     /// Log a host-track operation (staging-buffer access by the driving
     /// thread) when a schedule recorder is attached.
     fn log_host_op(&self, name: &str, accesses: Vec<Access>) {
@@ -609,6 +616,43 @@ impl<T: Real> GpuSlabFft<T> {
                 )],
             );
         }
+    }
+
+    /// Flatten a call's input fields (`len` elements in all) into one
+    /// pinned staging buffer, logged under `label`.
+    fn stage_input<'a, U: Copy + Send + Sync + Default + 'static>(
+        &self,
+        len: usize,
+        fields: impl Iterator<Item = (LocalShape, &'a [U])>,
+        label: &str,
+    ) -> PinnedBuffer<U> {
+        let mut flat = Vec::with_capacity(len);
+        for (shape, data) in fields {
+            assert_eq!(shape, self.shape);
+            flat.extend_from_slice(data);
+        }
+        let buf = PinnedBuffer::from_vec(flat);
+        self.log_staging(&buf, label);
+        buf
+    }
+
+    /// Log the host's read of the pinned result buffer `label` and copy it
+    /// out.
+    fn unstage<U: Copy + Send + Sync + Default + 'static>(
+        &self,
+        buf: &PinnedBuffer<U>,
+        label: &str,
+    ) -> Vec<U> {
+        self.log_host_op(
+            &format!("unstage `{label}`"),
+            vec![Access::read(
+                buf.id(),
+                psdns_analyze::MemSpace::Host,
+                0,
+                buf.len(),
+            )],
+        );
+        buf.snapshot()
     }
 
     pub fn config(&self) -> &GpuFftConfig {
@@ -772,7 +816,9 @@ impl<T: Real> GpuSlabFft<T> {
             rbuf.push(rs);
             free.push(es);
         }
-        Ok(CallBuffers { cbuf, rbuf, free })
+        let bufs = CallBuffers { cbuf, rbuf, free };
+        self.label_call_buffers(&bufs);
+        Ok(bufs)
     }
 
     /// Allocate this call's slot buffers, coordinating graceful degradation
@@ -980,7 +1026,6 @@ impl<T: Real> GpuSlabFft<T> {
         });
         let s = self.shape;
         let (np, gpus) = (self.config.np, self.devices.len());
-        let q = self.config.a2a_mode.group_size(np);
         let zlen = s.spec_len();
         let plen = s.phys_len();
         let bufs = match self.acquire_call_buffers(nv)? {
@@ -993,44 +1038,23 @@ impl<T: Real> GpuSlabFft<T> {
         let mut guard = CallGuard::new(gpus);
 
         // Host pinned staging for the whole slab (input) and result.
-        let mut flat = Vec::with_capacity(nv * zlen);
-        for f in specs {
-            assert_eq!(f.shape, s);
-            flat.extend_from_slice(&f.data);
-        }
-        let host_spec = PinnedBuffer::from_vec(flat);
+        let host_spec = self.stage_input(
+            nv * zlen,
+            specs.iter().map(|f| (f.shape, &f.data[..])),
+            "host_spec",
+        );
         let host_phys = PinnedBuffer::<T>::new(nv * plen);
-        self.label_call_buffers(&bufs);
-        self.log_staging(&host_spec, "host_spec");
         self.log_staging(&host_phys, "host_phys");
 
         // ---------------- Phase 1: y-inverse on x-split pencils ----------
         // (first dashed region of Fig. 4); groups along x.
         let xsplit = PencilSplit::new(s.nxh, np);
-        let groups = make_groups(&xsplit, np, q);
-        let send_bufs: Vec<PinnedBuffer<Complex<T>>> = groups
-            .iter()
-            .map(|grp| PinnedBuffer::new(s.p * nv * grp.axis.len() * s.my * s.mz))
-            .collect();
-        for (gi, b) in send_bufs.iter().enumerate() {
-            self.log_staging(b, &format!("send_buf[{gi}]"));
-        }
-        let mut d2h_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        let mut requests: Vec<Option<Request<Complex<T>>>> = groups.iter().map(|_| None).collect();
+        let mut ex = self.exchange(&xsplit, |w| s.p * nv * w * s.my * s.mz);
 
-        // Paper Fig. 4 op order: the H2D of pencil ip+1 is posted *before*
-        // the pack-D2H of pencil ip, so the transfer stream never stalls
-        // behind a pack waiting on compute ("a H2D copy for the next pencil
-        // is also posted at this time", §3.4). Head ops (H2D + FFT) for
-        // pencil `step`, then tail ops (pack + D2H) for pencil `step − 1`.
-        let compute_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        for step in 0..=np {
-            if step < np {
-                let ip = step;
+        let compute_done = event_grid(np, gpus);
+        pipelined(
+            np,
+            |ip| {
                 let xr = xsplit.range(ip);
                 let slot = ip % SLOTS;
                 #[allow(clippy::needless_range_loop)]
@@ -1087,13 +1111,13 @@ impl<T: Real> GpuSlabFft<T> {
                     );
                     cstream.record(&compute_done[ip][g]);
                 }
-            }
-            if step >= 1 {
-                let ip = step - 1;
-                let gi = group_of(&groups, ip);
-                let grp = &groups[gi];
+            },
+            |ip| {
+                let gi = group_of(&ex.groups, ip);
+                let grp = &ex.groups[gi];
                 let xr = xsplit.range(ip);
                 let slot = ip % SLOTS;
+                #[allow(clippy::needless_range_loop)]
                 for g in 0..gpus {
                     let xg = Self::device_part(&xr, gpus, g);
                     if xg.is_empty() {
@@ -1122,7 +1146,7 @@ impl<T: Real> GpuSlabFft<T> {
                                 );
                                 tstream.memcpy2d_d2h_async(
                                     cbuf,
-                                    &send_bufs[gi],
+                                    &ex.send[gi],
                                     Copy2d {
                                         width: xw,
                                         height: s.my,
@@ -1135,138 +1159,101 @@ impl<T: Real> GpuSlabFft<T> {
                             }
                         }
                     }
-                    tstream.record(&d2h_done[ip][g]);
+                    tstream.record(&ex.d2h_done[ip][g]);
                     tstream.record(&bufs.free[g][slot]);
                 }
                 // Paper: post the nonblocking all-to-all for an earlier
                 // group once this pencil closes its group ("(ip−2)-th
                 // pencil" rule of §3.4).
                 if ip + 1 == grp.pencils.end && gi >= 2 {
-                    self.post_group_a2a(
-                        gi - 2,
-                        &groups,
-                        &mut d2h_done,
-                        &send_bufs,
-                        &mut requests,
-                        &mut guard,
-                    );
+                    self.post_group_a2a(gi - 2, &mut ex, &mut guard);
                 }
-            }
-        }
-        for gi in 0..groups.len() {
-            self.post_group_a2a(
-                gi,
-                &groups,
-                &mut d2h_done,
-                &send_bufs,
-                &mut requests,
-                &mut guard,
-            );
-        }
-
-        // ---- Global transpose completion (the MPI_WAIT of Fig. 4) --------
-        // Deadline-aware when a watchdog is configured: a wedged peer turns
-        // into a typed CommError::Timeout instead of an infinite hang.
-        let mut recv_bufs: Vec<PinnedBuffer<Complex<T>>> = Vec::with_capacity(requests.len());
-        for (gi, r) in requests.into_iter().enumerate() {
-            // Every slot was filled by the sweep-up post loop above.
-            let buf =
-                PinnedBuffer::from_vec(r.expect("posted").wait_watchdog().map_err(Error::Comm)?);
-            self.log_staging(&buf, &format!("recv_buf[{gi}]"));
-            recv_bufs.push(buf);
-        }
+            },
+        );
+        let recv_bufs = self.complete_exchange(&mut ex, &mut guard)?;
 
         // ------------- Phase 2: z-inverse + x c2r on y-split pieces -------
         // (second and third dashed regions of Fig. 4)
         let ysplit = PencilSplit::new(s.my, np);
-        let compute2_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        for step in 0..=np {
-            if step < np {
-                let jp = step;
+        let compute2_done = event_grid(np, gpus);
+        pipelined(
+            np,
+            |jp| {
                 let yr = ysplit.range(jp);
-                if !yr.is_empty() {
-                    let slot = jp % SLOTS;
-                    #[allow(clippy::needless_range_loop)]
-                    for g in 0..gpus {
-                        let yg = Self::device_part(&yr, gpus, g);
-                        if yg.is_empty() {
-                            continue;
-                        }
-                        let yw = yg.len();
-                        let (tstream, cstream) = &self.streams[g];
-                        let cbuf = &bufs.cbuf[g][slot];
-                        let rbuf = &bufs.rbuf[g][slot];
-                        tstream.wait_event(&bufs.free[g][slot]);
+                let slot = jp % SLOTS;
+                #[allow(clippy::needless_range_loop)]
+                for g in 0..gpus {
+                    let yg = Self::device_part(&yr, gpus, g);
+                    if yg.is_empty() {
+                        continue;
+                    }
+                    let yw = yg.len();
+                    let (tstream, cstream) = &self.streams[g];
+                    let cbuf = &bufs.cbuf[g][slot];
+                    let rbuf = &bufs.rbuf[g][slot];
+                    tstream.wait_event(&bufs.free[g][slot]);
 
-                        // H2D unpack with zero-copy gather kernels (complex
-                        // stride pattern — §4.2 keeps zero-copy exactly
-                        // here), one kernel per source group buffer.
-                        let piece = s.nxh * yw * s.n; // complex elems per var
-                        for (gi, grp) in groups.iter().enumerate() {
-                            let gw = grp.axis.len();
-                            let mut chunks = Vec::new();
-                            for v in 0..nv {
-                                for src in 0..s.p {
-                                    for zl in 0..s.mz {
-                                        for yl in yg.clone() {
-                                            let h = self.group_idx(nv, gw, s.my, src, v, yl, zl, 0);
-                                            let d = v * piece
-                                                + grp.axis.start
-                                                + s.nxh
-                                                    * ((yl - yg.start) + yw * (src * s.mz + zl));
-                                            chunks.push((h, d, gw));
-                                        }
+                    // H2D unpack with zero-copy gather kernels (complex
+                    // stride pattern — §4.2 keeps zero-copy exactly
+                    // here), one kernel per source group buffer.
+                    let piece = s.nxh * yw * s.n; // complex elems per var
+                    for (gi, grp) in ex.groups.iter().enumerate() {
+                        let gw = grp.axis.len();
+                        let mut chunks = Vec::new();
+                        for v in 0..nv {
+                            for src in 0..s.p {
+                                for zl in 0..s.mz {
+                                    for yl in yg.clone() {
+                                        let h = self.group_idx(nv, gw, s.my, src, v, yl, zl, 0);
+                                        let d = v * piece
+                                            + grp.axis.start
+                                            + s.nxh * ((yl - yg.start) + yw * (src * s.mz + zl));
+                                        chunks.push((h, d, gw));
                                     }
                                 }
                             }
-                            tstream.zero_copy_h2d_async(&recv_bufs[gi], cbuf, chunks);
                         }
-                        let h2d_done = Event::new();
-                        tstream.record(&h2d_done);
-
-                        // z-inverse then x c2r on the compute stream.
-                        cstream.wait_event(&h2d_done);
-                        let plan_z = self.plan_many(s.nxh * yw, s.nxh * yw);
-                        let plan_x = self.plan_real(yw * s.n);
-                        let (cb, rb) = (cbuf.clone(), rbuf.clone());
-                        let rpiece = s.n * yw * s.n;
-                        let ht = self.host_threads;
-                        let mut accesses = rw_device(cbuf.id(), nv * piece);
-                        accesses.push(Access::write(
-                            rbuf.id(),
-                            psdns_analyze::MemSpace::Device,
-                            0,
-                            nv * rpiece,
-                        ));
-                        cstream.launch_traced("fft-z-inverse+x-c2r", accesses, move || {
-                            let mut c = cb.lock_mut();
-                            let mut r = rb.lock_mut();
-                            for v in 0..nv {
-                                let base = v * piece;
-                                plan_z.execute_parallel(
-                                    &mut c[base..base + piece],
-                                    Direction::Inverse,
-                                    ht,
-                                );
-                                plan_x.inverse_parallel(
-                                    &c[base..base + piece],
-                                    &mut r[v * rpiece..(v + 1) * rpiece],
-                                    ht,
-                                );
-                            }
-                        });
-                        cstream.record(&compute2_done[jp][g]);
+                        tstream.zero_copy_h2d_async(&recv_bufs[gi], cbuf, chunks);
                     }
+                    let h2d_done = Event::new();
+                    tstream.record(&h2d_done);
+
+                    // z-inverse then x c2r on the compute stream.
+                    cstream.wait_event(&h2d_done);
+                    let plan_z = self.plan_many(s.nxh * yw, s.nxh * yw);
+                    let plan_x = self.plan_real(yw * s.n);
+                    let (cb, rb) = (cbuf.clone(), rbuf.clone());
+                    let rpiece = s.n * yw * s.n;
+                    let ht = self.host_threads;
+                    let mut accesses = rw_device(cbuf.id(), nv * piece);
+                    accesses.push(Access::write(
+                        rbuf.id(),
+                        psdns_analyze::MemSpace::Device,
+                        0,
+                        nv * rpiece,
+                    ));
+                    cstream.launch_traced("fft-z-inverse+x-c2r", accesses, move || {
+                        let mut c = cb.lock_mut();
+                        let mut r = rb.lock_mut();
+                        for v in 0..nv {
+                            let base = v * piece;
+                            plan_z.execute_parallel(
+                                &mut c[base..base + piece],
+                                Direction::Inverse,
+                                ht,
+                            );
+                            plan_x.inverse_parallel(
+                                &c[base..base + piece],
+                                &mut r[v * rpiece..(v + 1) * rpiece],
+                                ht,
+                            );
+                        }
+                    });
+                    cstream.record(&compute2_done[jp][g]);
                 }
-            }
-            if step >= 1 {
-                let jp = step - 1;
+            },
+            |jp| {
                 let yr = ysplit.range(jp);
-                if yr.is_empty() {
-                    continue;
-                }
                 let slot = jp % SLOTS;
                 #[allow(clippy::needless_range_loop)]
                 for g in 0..gpus {
@@ -1296,37 +1283,37 @@ impl<T: Real> GpuSlabFft<T> {
                     }
                     tstream.record(&bufs.free[g][slot]);
                 }
-            }
-        }
-        for (g, (tstream, cstream)) in self.streams.iter().enumerate() {
-            if guard.down[g] {
-                continue;
-            }
-            if let Err(e) = cstream.synchronize().and_then(|()| tstream.synchronize()) {
-                guard.device_down(g, Error::Device(e));
-            }
-        }
-        if let Err(e) = self.check_device_errors() {
-            guard.err.get_or_insert(e);
-        }
-        if let Some(e) = guard.err {
-            return Err(e);
-        }
-
-        self.log_host_op(
-            "unstage `host_phys`",
-            vec![Access::read(
-                host_phys.id(),
-                psdns_analyze::MemSpace::Host,
-                0,
-                host_phys.len(),
-            )],
+            },
         );
-        let flat = host_phys.snapshot();
-        self.scan_unstaged(flat.iter().filter(|v| !v.to_f64().is_finite()).count() as u64)?;
-        Ok((0..nv)
-            .map(|v| PhysicalField::from_data(s, flat[v * plen..(v + 1) * plen].to_vec()))
-            .collect())
+        self.finish_device_call(
+            guard,
+            &host_phys,
+            "host_phys",
+            plen,
+            |flat| flat.iter().filter(|v| !v.to_f64().is_finite()).count() as u64,
+            |data| PhysicalField::from_data(s, data.to_vec()),
+        )
+    }
+
+    /// Set up one direction's transpose over the pencils of `split`: group
+    /// them by the A2A mode and stage each group's send buffer, sized by
+    /// `send_len` from the group's split-axis width.
+    fn exchange(&self, split: &PencilSplit, send_len: impl Fn(usize) -> usize) -> Exchange<T> {
+        let np = self.config.np;
+        let groups = make_groups(split, np, self.config.a2a_mode.group_size(np));
+        let send: Vec<PinnedBuffer<Complex<T>>> = groups
+            .iter()
+            .map(|grp| PinnedBuffer::new(send_len(grp.axis.len())))
+            .collect();
+        for (gi, b) in send.iter().enumerate() {
+            self.log_staging(b, &format!("send_buf[{gi}]"));
+        }
+        Exchange {
+            requests: groups.iter().map(|_| None).collect(),
+            d2h_done: event_grid(np, self.devices.len()),
+            groups,
+            send,
+        }
     }
 
     /// Join the group's staging events and post its all-to-all.
@@ -1339,20 +1326,12 @@ impl<T: Real> GpuSlabFft<T> {
     /// **still posted** with the buffer as-is. Peers must never block on a
     /// collective this rank skips; the garbage payload is discarded by the
     /// end-of-call vote ([`Self::finish_call`]).
-    fn post_group_a2a(
-        &self,
-        gi: usize,
-        groups: &[Group],
-        d2h_done: &mut [Vec<Event>],
-        send_bufs: &[PinnedBuffer<Complex<T>>],
-        requests: &mut [Option<Request<Complex<T>>>],
-        guard: &mut CallGuard,
-    ) {
-        if requests[gi].is_some() {
+    fn post_group_a2a(&self, gi: usize, ex: &mut Exchange<T>, guard: &mut CallGuard) {
+        if ex.requests[gi].is_some() {
             return;
         }
-        for ip in groups[gi].pencils.clone() {
-            for (g, e) in d2h_done[ip].iter().enumerate() {
+        for ip in ex.groups[gi].pencils.clone() {
+            for (g, e) in ex.d2h_done[ip].iter().enumerate() {
                 if guard.down[g] {
                     continue;
                 }
@@ -1381,18 +1360,84 @@ impl<T: Real> GpuSlabFft<T> {
                 self.log_event_join(e);
             }
         }
+        let send_buf = &ex.send[gi];
         self.log_host_op(
             &format!("a2a-post[{gi}]"),
             vec![Access::read(
-                send_bufs[gi].id(),
+                send_buf.id(),
                 psdns_analyze::MemSpace::Host,
                 0,
-                send_bufs[gi].len(),
+                send_buf.len(),
             )],
         );
-        let mut send = send_bufs[gi].snapshot();
+        let mut send = send_buf.snapshot();
         crate::integrity::inject_buf_flip(&self.comm, &format!("pipe{gi}"), &mut send);
-        requests[gi] = Some(self.comm.ialltoall(&send));
+        ex.requests[gi] = Some(self.comm.ialltoall(&send));
+    }
+
+    /// Post every group the pencil loop has not posted yet, then complete
+    /// all of the direction's exchanges (the MPI_WAIT of Fig. 4) into
+    /// pinned receive buffers. Deadline-aware when a watchdog is
+    /// configured: a wedged peer turns into a typed
+    /// [`psdns_comm::CommError::Timeout`] instead of an infinite hang.
+    fn complete_exchange(
+        &self,
+        ex: &mut Exchange<T>,
+        guard: &mut CallGuard,
+    ) -> Result<Vec<PinnedBuffer<Complex<T>>>, Error> {
+        for gi in 0..ex.groups.len() {
+            self.post_group_a2a(gi, ex, guard);
+        }
+        let mut recv_bufs = Vec::with_capacity(ex.requests.len());
+        for (gi, r) in ex.requests.drain(..).enumerate() {
+            // Every slot was filled by the sweep-up post loop above.
+            let buf =
+                PinnedBuffer::from_vec(r.expect("posted").wait_watchdog().map_err(Error::Comm)?);
+            self.log_staging(&buf, &format!("recv_buf[{gi}]"));
+            recv_bufs.push(buf);
+        }
+        Ok(recv_bufs)
+    }
+
+    /// End of a device call: drain every live device's streams, surface the
+    /// call's first device failure or sticky device error, then unstage the
+    /// result `out` and split it into `len`-element fields. When the
+    /// non-finite scan is armed, a NaN/Inf in the result fails the call
+    /// with [`crate::IntegrityError::NonFinite`] — after the call's full
+    /// collective sequence, so peers never block.
+    fn finish_device_call<U: Copy + Send + Sync + Default + 'static, F>(
+        &self,
+        mut guard: CallGuard,
+        out: &PinnedBuffer<U>,
+        label: &str,
+        len: usize,
+        count_nonfinite: impl Fn(&[U]) -> u64,
+        field: impl Fn(&[U]) -> F,
+    ) -> Result<Vec<F>, Error> {
+        for (g, (tstream, cstream)) in self.streams.iter().enumerate() {
+            if guard.down[g] {
+                continue;
+            }
+            if let Err(e) = cstream.synchronize().and_then(|()| tstream.synchronize()) {
+                guard.device_down(g, Error::Device(e));
+            }
+        }
+        if let Err(e) = self.check_device_errors() {
+            guard.err.get_or_insert(e);
+        }
+        if let Some(e) = guard.err {
+            return Err(e);
+        }
+        let flat = self.unstage(out, label);
+        if self.scan_nonfinite {
+            let count = count_nonfinite(&flat);
+            if count > 0 {
+                return Err(Error::Integrity(
+                    crate::integrity::IntegrityError::NonFinite { count },
+                ));
+            }
+        }
+        Ok(flat.chunks(len).map(field).collect())
     }
 
     /// Fallible physical → Fourier transform (mirror of
@@ -1425,7 +1470,6 @@ impl<T: Real> GpuSlabFft<T> {
         });
         let s = self.shape;
         let (np, gpus) = (self.config.np, self.devices.len());
-        let q = self.config.a2a_mode.group_size(np);
         let zlen = s.spec_len();
         let plen = s.phys_len();
         let bufs = match self.acquire_call_buffers(nv)? {
@@ -1434,40 +1478,23 @@ impl<T: Real> GpuSlabFft<T> {
         };
         let mut guard = CallGuard::new(gpus);
 
-        let mut flat = Vec::with_capacity(nv * plen);
-        for f in phys {
-            assert_eq!(f.shape, s);
-            flat.extend_from_slice(&f.data);
-        }
-        let host_phys = PinnedBuffer::from_vec(flat);
+        let host_phys = self.stage_input(
+            nv * plen,
+            phys.iter().map(|f| (f.shape, &f.data[..])),
+            "host_phys",
+        );
         let host_spec = PinnedBuffer::<Complex<T>>::new(nv * zlen);
-        self.label_call_buffers(&bufs);
-        self.log_staging(&host_phys, "host_phys");
         self.log_staging(&host_spec, "host_spec");
 
         // Phase A: x r2c + z-forward on y-split pieces; groups along y.
         let ysplit = PencilSplit::new(s.my, np);
         let xsplit = PencilSplit::new(s.nxh, np);
-        let groups = make_groups(&ysplit, np, q);
-        let send_bufs: Vec<PinnedBuffer<Complex<T>>> = groups
-            .iter()
-            .map(|grp| PinnedBuffer::new(s.p * nv * s.nxh * grp.axis.len().max(1) * s.mz))
-            .collect();
-        for (gi, b) in send_bufs.iter().enumerate() {
-            self.log_staging(b, &format!("send_buf[{gi}]"));
-        }
-        let mut d2h_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        let mut requests: Vec<Option<Request<Complex<T>>>> = groups.iter().map(|_| None).collect();
+        let mut ex = self.exchange(&ysplit, |w| s.p * nv * s.nxh * w.max(1) * s.mz);
 
-        // Same deferred-tail op order as phase 1 (paper Fig. 4).
-        let compute_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        for step in 0..=np {
-            if step < np {
-                let jp = step;
+        let compute_done = event_grid(np, gpus);
+        pipelined(
+            np,
+            |jp| {
                 let yr = ysplit.range(jp);
                 let slot = jp % SLOTS;
                 #[allow(clippy::needless_range_loop)]
@@ -1531,13 +1558,13 @@ impl<T: Real> GpuSlabFft<T> {
                     });
                     cstream.record(&compute_done[jp][g]);
                 }
-            }
-            if step >= 1 {
-                let jp = step - 1;
-                let gi = group_of(&groups, jp);
-                let grp = &groups[gi];
+            },
+            |jp| {
+                let gi = group_of(&ex.groups, jp);
+                let grp = &ex.groups[gi];
                 let yr = ysplit.range(jp);
                 let slot = jp % SLOTS;
+                #[allow(clippy::needless_range_loop)]
                 for g in 0..gpus {
                     let yg = Self::device_part(&yr, gpus, g);
                     if yg.is_empty() {
@@ -1575,50 +1602,22 @@ impl<T: Real> GpuSlabFft<T> {
                             }
                         }
                     }
-                    tstream.zero_copy_d2h_async(cbuf, &send_bufs[gi], chunks);
-                    tstream.record(&d2h_done[jp][g]);
+                    tstream.zero_copy_d2h_async(cbuf, &ex.send[gi], chunks);
+                    tstream.record(&ex.d2h_done[jp][g]);
                     tstream.record(&bufs.free[g][slot]);
                 }
                 if jp + 1 == grp.pencils.end && gi >= 2 {
-                    self.post_group_a2a(
-                        gi - 2,
-                        &groups,
-                        &mut d2h_done,
-                        &send_bufs,
-                        &mut requests,
-                        &mut guard,
-                    );
+                    self.post_group_a2a(gi - 2, &mut ex, &mut guard);
                 }
-            }
-        }
-        for gi in 0..groups.len() {
-            self.post_group_a2a(
-                gi,
-                &groups,
-                &mut d2h_done,
-                &send_bufs,
-                &mut requests,
-                &mut guard,
-            );
-        }
+            },
+        );
+        let recv_bufs = self.complete_exchange(&mut ex, &mut guard)?;
 
-        let mut recv_bufs: Vec<PinnedBuffer<Complex<T>>> = Vec::with_capacity(requests.len());
-        for (gi, r) in requests.into_iter().enumerate() {
-            // Every slot was filled by the sweep-up post loop above.
-            let buf =
-                PinnedBuffer::from_vec(r.expect("posted").wait_watchdog().map_err(Error::Comm)?);
-            self.log_staging(&buf, &format!("recv_buf[{gi}]"));
-            recv_bufs.push(buf);
-        }
-
-        // Phase B: y-forward on x-split pencils, D2H into the z-slab result
-        // (deferred-tail op order, as in phase 1).
-        let compute_b_done: Vec<Vec<Event>> = (0..np)
-            .map(|_| (0..gpus).map(|_| Event::new()).collect())
-            .collect();
-        for step in 0..=np {
-            if step < np {
-                let ip = step;
+        // Phase B: y-forward on x-split pencils, D2H into the z-slab result.
+        let compute_b_done = event_grid(np, gpus);
+        pipelined(
+            np,
+            |ip| {
                 let xr = xsplit.range(ip);
                 let slot = ip % SLOTS;
                 #[allow(clippy::needless_range_loop)]
@@ -1633,7 +1632,7 @@ impl<T: Real> GpuSlabFft<T> {
                     tstream.wait_event(&bufs.free[g][slot]);
 
                     // H2D gather from the group receive buffers.
-                    for (gi, grp) in groups.iter().enumerate() {
+                    for (gi, grp) in ex.groups.iter().enumerate() {
                         let gw = grp.axis.len();
                         if gw == 0 {
                             continue;
@@ -1690,9 +1689,8 @@ impl<T: Real> GpuSlabFft<T> {
                     );
                     cstream.record(&compute_b_done[ip][g]);
                 }
-            }
-            if step >= 1 {
-                let ip = step - 1;
+            },
+            |ip| {
                 let xr = xsplit.range(ip);
                 let slot = ip % SLOTS;
                 #[allow(clippy::needless_range_loop)]
@@ -1721,37 +1719,16 @@ impl<T: Real> GpuSlabFft<T> {
                     }
                     tstream.record(&bufs.free[g][slot]);
                 }
-            }
-        }
-        for (g, (tstream, cstream)) in self.streams.iter().enumerate() {
-            if guard.down[g] {
-                continue;
-            }
-            if let Err(e) = cstream.synchronize().and_then(|()| tstream.synchronize()) {
-                guard.device_down(g, Error::Device(e));
-            }
-        }
-        if let Err(e) = self.check_device_errors() {
-            guard.err.get_or_insert(e);
-        }
-        if let Some(e) = guard.err {
-            return Err(e);
-        }
-
-        self.log_host_op(
-            "unstage `host_spec`",
-            vec![Access::read(
-                host_spec.id(),
-                psdns_analyze::MemSpace::Host,
-                0,
-                host_spec.len(),
-            )],
+            },
         );
-        let flat = host_spec.snapshot();
-        self.scan_unstaged(crate::integrity::count_nonfinite_buf(&flat))?;
-        Ok((0..nv)
-            .map(|v| SpectralField::from_data(s, flat[v * zlen..(v + 1) * zlen].to_vec()))
-            .collect())
+        self.finish_device_call(
+            guard,
+            &host_spec,
+            "host_spec",
+            zlen,
+            crate::integrity::count_nonfinite_buf,
+            |data| SpectralField::from_data(s, data.to_vec()),
+        )
     }
 }
 
@@ -1813,14 +1790,12 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
         let chunk = plen.div_ceil(np);
 
         // Host staging.
-        let mut flat = Vec::with_capacity(6 * plen);
-        for f in up.iter().chain(wp.iter()) {
-            assert_eq!(f.shape, s);
-            flat.extend_from_slice(&f.data);
-        }
-        let host_in = PinnedBuffer::from_vec(flat);
+        let host_in = self.stage_input(
+            6 * plen,
+            up.iter().chain(wp).map(|f| (f.shape, &f.data[..])),
+            "host_xprod_in",
+        );
         let host_out = PinnedBuffer::<T>::new(3 * plen);
-        self.log_staging(&host_in, "host_xprod_in");
         self.log_staging(&host_out, "host_xprod_out");
 
         // Rotating slot buffers on device 0 (pointwise work needs no
@@ -1845,7 +1820,7 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
             Err(_) => {
                 // Not enough device memory even for chunked pointwise
                 // work: fall back to the host default.
-                return host_cross_product(s, up, wp);
+                return crate::field::host_cross_product(s, up, wp);
             }
         };
         if let Some(log) = &self.recorder {
@@ -1856,14 +1831,14 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
         }
 
         let compute_done: Vec<Event> = (0..np).map(|_| Event::new()).collect();
-        for step in 0..=np {
-            if step < np {
-                let ci = step;
+        pipelined(
+            np,
+            |ci| {
                 let lo = ci * chunk;
                 let hi = (lo + chunk).min(plen);
                 let len = hi - lo;
                 if len == 0 {
-                    continue;
+                    return;
                 }
                 let (ibuf, obuf, free) = &bufs[ci % SLOTS];
                 tstream.wait_event(free);
@@ -1894,14 +1869,13 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
                     },
                 );
                 cstream.record(&compute_done[ci]);
-            }
-            if step >= 1 {
-                let ci = step - 1;
+            },
+            |ci| {
                 let lo = ci * chunk;
                 let hi = (lo + chunk).min(plen);
                 let len = hi - lo;
                 if len == 0 {
-                    continue;
+                    return;
                 }
                 let (_, obuf, free) = &bufs[ci % SLOTS];
                 tstream.wait_event(&compute_done[ci]);
@@ -1909,28 +1883,19 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
                     tstream.memcpy_d2h_async(obuf, v * chunk, &host_out, v * plen + lo, len);
                 }
                 tstream.record(free);
-            }
-        }
+            },
+        );
         // A copy-engine failure (injected or real) leaves host_out partially
         // stale — as does a backend shut down under our feet; recompute on
         // the host rather than return silent garbage.
         if tstream.synchronize().is_err() || cstream.synchronize().is_err() {
-            return host_cross_product(s, up, wp);
+            return crate::field::host_cross_product(s, up, wp);
         }
         if dev.take_error().is_some() {
-            return host_cross_product(s, up, wp);
+            return crate::field::host_cross_product(s, up, wp);
         }
 
-        self.log_host_op(
-            "unstage `host_xprod_out`",
-            vec![Access::read(
-                host_out.id(),
-                psdns_analyze::MemSpace::Host,
-                0,
-                host_out.len(),
-            )],
-        );
-        let flat = host_out.snapshot();
+        let flat = self.unstage(&host_out, "host_xprod_out");
         let mut nl = [
             PhysicalField::from_data(s, flat[..plen].to_vec()),
             PhysicalField::from_data(s, flat[plen..2 * plen].to_vec()),
@@ -1939,28 +1904,6 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
         crate::integrity::inject_kernel_corrupt(&self.comm, "cross", &mut nl);
         nl
     }
-}
-
-/// Host fallback shared with the trait default (kept separate so the device
-/// path can bail out on OOM without recursion).
-fn host_cross_product<T: Real>(
-    s: LocalShape,
-    up: &[PhysicalField<T>],
-    wp: &[PhysicalField<T>],
-) -> [PhysicalField<T>; 3] {
-    let mut nl = [
-        PhysicalField::zeros(s),
-        PhysicalField::zeros(s),
-        PhysicalField::zeros(s),
-    ];
-    for i in 0..s.phys_len() {
-        let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
-        let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
-        nl[0].data[i] = u1 * w2 - u2 * w1;
-        nl[1].data[i] = u2 * w0 - u0 * w2;
-        nl[2].data[i] = u0 * w1 - u1 * w0;
-    }
-    nl
 }
 
 #[cfg(test)]

@@ -13,14 +13,15 @@
 //!   Fig. 4): slabs split into `np` device-sized pencils, streamed through a
 //!   transfer stream and a compute stream with event-enforced dependencies,
 //!   with the all-to-all posted per pencil (`MPI_IALLTOALL`, config A/B) or
-//!   once per slab (config C);
+//!   once per slab (config C). The synchronous whole-slab algorithm of
+//!   Fig. 2 is its `np = 1`, [`A2aMode::PerSlab`] case;
 //! * the RK2/RK4 Navier–Stokes integrator with exact viscous integrating
 //!   factor, rotational-form nonlinear term, spectral projection, dealiasing
 //!   and deterministic band forcing ([`NavierStokes`], §2).
 //!
-//! All backends implement [`Transform3d`], so the solver runs identically on
-//! the CPU path and the out-of-core device path — the integration tests
-//! demand matching physics.
+//! The slab transforms [`SlabFftCpu`] and [`GpuSlabFft`] implement
+//! [`Transform3d`], so the solver runs identically on the CPU path and the
+//! out-of-core device path — the integration tests demand matching physics.
 //!
 //! The asynchronous pipeline can be certified race-free *before* execution:
 //! [`GpuSlabFft::analyze_schedule`] replays the planned stream/event DAG
@@ -35,7 +36,6 @@ pub mod error;
 pub mod field;
 pub mod forcing;
 pub mod gpu_pipeline;
-pub mod gpu_sync;
 pub mod init;
 pub mod integrity;
 pub mod io;
@@ -53,7 +53,6 @@ pub use error::{Error, PipelineError};
 pub use field::{LocalShape, PhysicalField, SpectralField, Transform3d};
 pub use forcing::Forcing;
 pub use gpu_pipeline::{A2aMode, GpuFftBuilder, GpuFftConfig, GpuSlabFft};
-pub use gpu_sync::GpuSyncSlabFft;
 pub use init::{normalize_energy, random_solenoidal, taylor_green};
 pub use integrity::{IntegrityCheck, IntegrityConfig, IntegrityError, IntegrityEvent};
 pub use io::{spectrum_csv, CsvError, LogEntry, RunLog};

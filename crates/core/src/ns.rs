@@ -58,8 +58,8 @@ impl Default for NsConfig {
     }
 }
 
-/// The distributed solver, generic over the transform backend (CPU slab,
-/// synchronous GPU, asynchronous batched GPU).
+/// The distributed solver, generic over the transform backend (CPU slab or
+/// the asynchronous batched GPU pipeline).
 pub struct NavierStokes<T: Real, B: Transform3d<T>> {
     pub backend: B,
     pub cfg: NsConfig,

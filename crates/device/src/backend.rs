@@ -48,9 +48,6 @@ pub enum BackendKind {
     /// Eager host-CPU execution on the submitting thread; kernels still fan
     /// out over the PR-5 `WorkerPool` ([`crate::HostBackend`]).
     Host,
-    /// The feature-gated `wgpu`/Vulkan-style skeleton (queues and command
-    /// buffers; `--features wgpu-backend`).
-    Wgpu,
 }
 
 impl BackendKind {
@@ -59,7 +56,6 @@ impl BackendKind {
         match self {
             BackendKind::Simulated => "sim",
             BackendKind::Host => "host",
-            BackendKind::Wgpu => "wgpu",
         }
     }
 }
@@ -270,8 +266,8 @@ fn bridge_kind(kind: SpanKind, name: &str) -> psdns_trace::SpanKind {
 /// still runs (work must never be dropped) but is no longer observable.
 ///
 /// Backends call this from wherever their execution happens — a dedicated
-/// worker thread (simulated), the submitting thread (host), or a command
-/// buffer replay (wgpu) — so timelines stay comparable across executors.
+/// worker thread (simulated) or the submitting thread (host) — so timelines
+/// stay comparable across executors.
 pub fn run_op(device: &WeakDevice, stream_id: u64, stream_name: &str, op: QueueOp) {
     let QueueOp { name, kind, exec } = op;
     let Some(dev) = device.upgrade() else {

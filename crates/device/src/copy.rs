@@ -37,18 +37,6 @@ pub struct Copy2d {
 }
 
 impl Copy2d {
-    /// Contiguous 1-D copy expressed as a single row.
-    pub fn linear(len: usize, src_offset: usize, dst_offset: usize) -> Self {
-        Self {
-            width: len,
-            height: 1,
-            src_offset,
-            src_pitch: 0,
-            dst_offset,
-            dst_pitch: 0,
-        }
-    }
-
     pub fn elements(&self) -> usize {
         self.width * self.height
     }

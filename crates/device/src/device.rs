@@ -206,43 +206,17 @@ impl Device {
         Self::with_backend(Arc::new(SimBackend::new(config)))
     }
 
-    /// A device on the eager host-CPU executor (feature `host-backend`,
-    /// enabled by default): same schedule, runs on the submitting thread.
-    #[cfg(feature = "host-backend")]
+    /// A device on the eager host-CPU executor: same schedule, runs on the
+    /// submitting thread.
     pub fn host(config: DeviceConfig) -> Self {
         Self::with_backend(Arc::new(crate::host::HostBackend::new(config)))
     }
 
-    /// A device on the named executor. Panics when the requested backend's
-    /// cargo feature is compiled out — backend selection is a build-time
-    /// decision, not a recoverable runtime condition.
+    /// A device on the named executor.
     pub fn with_kind(kind: BackendKind, config: DeviceConfig) -> Self {
         match kind {
             BackendKind::Simulated => Self::new(config),
-            BackendKind::Host => {
-                #[cfg(feature = "host-backend")]
-                {
-                    Self::host(config)
-                }
-                #[cfg(not(feature = "host-backend"))]
-                {
-                    let _ = config;
-                    panic!("psdns-device was built without the `host-backend` feature")
-                }
-            }
-            BackendKind::Wgpu => {
-                #[cfg(feature = "wgpu-backend")]
-                {
-                    let backend = crate::wgpu_backend::WgpuBackend::new(config)
-                        .expect("wgpu shim always exposes an adapter");
-                    Self::with_backend(Arc::new(backend))
-                }
-                #[cfg(not(feature = "wgpu-backend"))]
-                {
-                    let _ = config;
-                    panic!("psdns-device was built without the `wgpu-backend` feature")
-                }
-            }
+            BackendKind::Host => Self::host(config),
         }
     }
 
@@ -253,7 +227,13 @@ impl Device {
             inner: Arc::new(DeviceInner {
                 backend,
                 stats: DeviceStats::default(),
-                timeline: Timeline::new(),
+                timeline: {
+                    // Off until a reader opts in: the span log grows
+                    // without bound over a long run.
+                    let t = Timeline::new();
+                    t.set_enabled(false);
+                    t
+                },
                 epoch: Instant::now(),
                 next_stream_id: AtomicU64::new(0),
                 tracer: psdns_sync::Mutex::new(None),
@@ -442,7 +422,9 @@ impl Device {
         &self.inner.stats
     }
 
-    /// nvtx-style span trace of everything this device has executed.
+    /// nvtx-style span trace of everything this device has executed while
+    /// it was enabled. Disabled when the device is created; readers turn it
+    /// on with [`Timeline::set_enabled`].
     pub fn timeline(&self) -> &Timeline {
         &self.inner.timeline
     }
@@ -605,7 +587,6 @@ mod tests {
         Ok(())
     }
 
-    #[cfg(feature = "host-backend")]
     #[test]
     fn host_device_runs_the_same_offload() -> Result<(), DeviceError> {
         let dev = Device::host(DeviceConfig::tiny(1 << 20));

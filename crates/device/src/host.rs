@@ -57,8 +57,7 @@ impl ExecQueue for HostQueue {
     }
 }
 
-/// The eager host-CPU backend ([`BackendKind::Host`], feature
-/// `host-backend`, on by default).
+/// The eager host-CPU backend ([`BackendKind::Host`]).
 pub struct HostBackend {
     common: BackendCommon,
     dead: Arc<AtomicBool>,

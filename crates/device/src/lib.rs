@@ -36,10 +36,8 @@
 //! layer above the trait, so the same schedule runs on:
 //!
 //! * [`SimBackend`] (default) — worker threads, DES timeline;
-//! * [`HostBackend`] (`host-backend`, default feature) — eager host-CPU
-//!   execution of the same kernels, used by the solver's degraded mode;
-//! * `WgpuBackend` (`--features wgpu-backend`) — compile-checked
-//!   queue/command-buffer skeleton for a real GPU port (ROADMAP item 2).
+//! * [`HostBackend`] — eager host-CPU execution of the same kernels, used
+//!   by the solver's degraded mode.
 
 mod backend;
 mod buffer;
@@ -48,13 +46,10 @@ mod device;
 mod error;
 mod event;
 mod health;
-#[cfg(feature = "host-backend")]
 mod host;
 mod sim;
 mod stream;
 mod timeline;
-#[cfg(feature = "wgpu-backend")]
-mod wgpu_backend;
 
 pub use backend::{
     run_op, BackendCommon, BackendKind, DeviceBackend, ExecQueue, FenceWait, QueueOp,
@@ -65,13 +60,10 @@ pub use device::{Device, DeviceConfig, DeviceConfigBuilder, DeviceStats, WeakDev
 pub use error::DeviceError;
 pub use event::Event;
 pub use health::{HealthCause, HealthEvent, HealthMonitor, HealthState, DEVICE_WIDE};
-#[cfg(feature = "host-backend")]
 pub use host::HostBackend;
 pub use sim::SimBackend;
 pub use stream::Stream;
 pub use timeline::{Span, SpanKind, Timeline};
-#[cfg(feature = "wgpu-backend")]
-pub use wgpu_backend::WgpuBackend;
 
 // Schedule-recording vocabulary, re-exported so callers declaring kernel
 // accesses for `Stream::launch_traced` need no direct `psdns-analyze`

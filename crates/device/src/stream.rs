@@ -541,6 +541,7 @@ mod tests {
     #[test]
     fn timeline_records_spans() -> Result<(), DeviceError> {
         let dev = Device::new(DeviceConfig::tiny(1 << 20));
+        dev.timeline().set_enabled(true);
         let s = dev.create_stream("traced");
         s.launch("work", || {
             std::thread::sleep(std::time::Duration::from_millis(5))
@@ -592,7 +593,6 @@ mod tests {
         Ok(())
     }
 
-    #[cfg(feature = "host-backend")]
     #[test]
     fn host_backend_stream_outliving_device_reports_shutdown() -> Result<(), DeviceError> {
         let dev = Device::host(DeviceConfig::tiny(1 << 20));

@@ -7,8 +7,6 @@
 //!
 //! [`DeviceBackend`]: psdns_device::DeviceBackend
 
-#![cfg(feature = "host-backend")]
-
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -21,9 +19,7 @@ use psdns_device::{
 const KINDS: [BackendKind; 2] = [BackendKind::Simulated, BackendKind::Host];
 
 fn device(kind: BackendKind) -> Device {
-    let dev = Device::with_kind(kind, DeviceConfig::tiny(1 << 22));
-    dev.timeline().set_enabled(false);
-    dev
+    Device::with_kind(kind, DeviceConfig::tiny(1 << 22))
 }
 
 /// 1-D, strided 2-D and zero-copy transfers, one stream, then readback.

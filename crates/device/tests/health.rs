@@ -9,8 +9,6 @@
 //! probe condemns with `DeviceLost`, an exhausted retry budget on a
 //! still-responsive device condemns with `QueueHung`.
 
-#![cfg(feature = "host-backend")]
-
 use std::time::{Duration, Instant};
 
 use psdns_chaos::{ChaosConfig, ChaosEngine, FaultPlan, WatchdogPolicy};
@@ -21,9 +19,7 @@ use psdns_device::{
 const KINDS: [BackendKind; 2] = [BackendKind::Simulated, BackendKind::Host];
 
 fn device(kind: BackendKind) -> Device {
-    let dev = Device::with_kind(kind, DeviceConfig::tiny(1 << 22));
-    dev.timeline().set_enabled(false);
-    dev
+    Device::with_kind(kind, DeviceConfig::tiny(1 << 22))
 }
 
 fn chaos(seed: u64, mutate: impl FnOnce(&mut ChaosConfig)) -> ChaosEngine {

@@ -25,7 +25,6 @@ proptest! {
         let dst_len = dst_offset + dst_pitch * (height - 1) + width;
 
         let dev = Device::new(DeviceConfig::tiny(1 << 22));
-        dev.timeline().set_enabled(false);
         let host = PinnedBuffer::from_vec((0..src_len as u32).collect());
         let via_2d = dev.alloc::<u32>(dst_len).unwrap();
         let via_loop = dev.alloc::<u32>(dst_len).unwrap();
@@ -55,7 +54,6 @@ proptest! {
         let dev_len = nchunks * chunk_len;
 
         let dev = Device::new(DeviceConfig::tiny(1 << 22));
-        dev.timeline().set_enabled(false);
         let host_in = PinnedBuffer::from_vec(
             (0..host_len).map(|i| (i as u64).wrapping_mul(seed + 1)).collect::<Vec<u64>>(),
         );
@@ -85,7 +83,6 @@ proptest! {
     #[test]
     fn event_chain_orders_random_workloads(delays in prop::collection::vec(0u64..3, 1..6)) {
         let dev = Device::new(DeviceConfig::tiny(1 << 20));
-        dev.timeline().set_enabled(false);
         let a = dev.create_stream("a");
         let b = dev.create_stream("b");
         let log = std::sync::Arc::new(psdns_sync::Mutex::new(Vec::new()));

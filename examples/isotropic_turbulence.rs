@@ -28,7 +28,6 @@ fn main() {
     let results = Universe::run(ranks, move |comm| {
         let shape = LocalShape::new(n, ranks, comm.rank());
         let device = Device::new(DeviceConfig::tiny(64 << 20));
-        device.timeline().set_enabled(false);
         let backend = GpuSlabFft::<f64>::builder(shape)
             .comm(comm.clone())
             .devices(vec![device])

@@ -37,6 +37,7 @@ fn main() {
             GpuSlabFft::<f32>::auto_np(shape, 2 * nv, 1, hbm).expect("some pencil count must fit");
 
         let device = Device::new(DeviceConfig::tiny(hbm));
+        device.timeline().set_enabled(true);
         let mut gpu = GpuSlabFft::<f32>::builder(shape)
             .comm(comm.clone())
             .devices(vec![device.clone()])

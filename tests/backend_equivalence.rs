@@ -1,12 +1,11 @@
-//! Integration: every transform backend — CPU slab, synchronous GPU
-//! (Fig. 2), asynchronous batched GPU (Fig. 4) in both all-to-all modes,
-//! single- and multi-device, and the 2-D pencil CPU baseline — must compute
-//! the *same* distributed 3-D FFT.
+//! Integration: every transform backend — CPU slab, the whole-slab GPU
+//! algorithm (Fig. 2, the pipeline at `np = 1`), asynchronous batched GPU
+//! (Fig. 4) in both all-to-all modes, single- and multi-device, and the 2-D
+//! pencil CPU baseline — must compute the *same* distributed 3-D FFT.
 
 use psdns::comm::Universe;
 use psdns::core::{
-    A2aMode, GpuSlabFft, GpuSyncSlabFft, LocalShape, PencilFftCpu, PhysicalField, SlabFftCpu,
-    Transform3d,
+    A2aMode, GpuSlabFft, LocalShape, PencilFftCpu, PhysicalField, SlabFftCpu, Transform3d,
 };
 use psdns::device::{Device, DeviceConfig};
 use psdns::fft::Complex64;
@@ -79,10 +78,18 @@ fn all_backends_agree_on_the_spectrum() {
 
     let candidates: Vec<(&str, Vec<Vec<Complex64>>)> = vec![
         (
-            "gpu_sync",
+            "gpu_whole_slab",
             run_slab_backend(p, nv, |shape, comm| {
                 let dev = Device::new(DeviceConfig::tiny(64 << 20));
-                Box::new(GpuSyncSlabFft::<f64>::new(shape, comm, dev))
+                Box::new(
+                    GpuSlabFft::<f64>::builder(shape)
+                        .comm(comm)
+                        .devices(vec![dev])
+                        .np(1)
+                        .a2a_mode(A2aMode::PerSlab)
+                        .build()
+                        .expect("valid pipeline configuration"),
+                )
             }),
         ),
         (
@@ -201,7 +208,6 @@ fn spectrum_pinned_to_frozen_reference_kernel() {
 /// identical kernel closures in the identical order (the schedule is fixed
 /// at enqueue time above the trait), so every floating-point operation
 /// happens in the same sequence and the results match to the last bit.
-#[cfg(feature = "host-backend")]
 #[test]
 fn simulated_and_host_backends_agree_bitwise() {
     use psdns::device::BackendKind;
@@ -239,7 +245,6 @@ fn simulated_and_host_backends_agree_bitwise() {
 /// `analyze_schedule` certification is backend-independent: the shadow
 /// replay inherits the pipeline's backend kind, and the recorded schedule
 /// must be hazard-free on the simulated *and* the host executor.
-#[cfg(feature = "host-backend")]
 #[test]
 fn analyze_schedule_passes_on_every_backend() {
     use psdns::device::BackendKind;

@@ -32,6 +32,7 @@ fn real_pipeline_trace_has_fig4_structure() {
             })
             .collect();
         device.timeline().clear();
+        device.timeline().set_enabled(true);
         let _ = fft.try_physical_to_fourier(&phys).expect("fits");
         device.timeline().snapshot()
     })

@@ -5,9 +5,9 @@
 
 use psdns::comm::Universe;
 use psdns::core::{
-    A2aMode, GpuSlabFft, GpuSyncSlabFft, LocalShape, PhysicalField, SlabFftCpu, Transform3d,
+    A2aMode, GpuSlabFft, LocalShape, PhysicalField, PipelineError, SlabFftCpu, Transform3d,
 };
-use psdns::device::{Device, DeviceConfig, DeviceError};
+use psdns::device::{Device, DeviceConfig};
 
 const N: usize = 32;
 
@@ -25,31 +25,35 @@ fn phys_fields(shape: LocalShape, nv: usize) -> Vec<PhysicalField<f32>> {
 #[test]
 fn sync_algorithm_fails_where_async_succeeds() {
     // The paper's Fig. 2 → Fig. 4 motivation in one test: same device, same
-    // problem; the whole-slab algorithm OOMs, the batched one works.
-    let hbm = 600 << 10; // sync needs ~820 KB of device buffers at N = 32
+    // problem; the whole-slab algorithm (np = 1) does not fit, the batched
+    // one at the builder's suggested pencil count does.
+    let hbm = 600 << 10; // np = 1 needs ~1.2 MB of slot buffers at N = 32
     let out = Universe::run(2, move |comm| {
         let shape = LocalShape::new(N, 2, comm.rank());
         let phys = phys_fields(shape, 3);
-
-        let dev = Device::new(DeviceConfig::tiny(hbm));
-        let mut sync = GpuSyncSlabFft::<f32>::new(shape, comm.clone(), dev);
-        let sync_err = sync.try_physical_to_fourier(&phys).err();
-
-        let dev = Device::new(DeviceConfig::tiny(hbm));
-        let np = GpuSlabFft::<f32>::auto_np(shape, 3, 1, hbm).expect("np exists");
-        let mut batched = GpuSlabFft::<f32>::builder(shape)
-            .comm(comm.clone())
-            .devices(vec![dev])
-            .np(np)
-            .a2a_mode(A2aMode::PerSlab)
-            .build()
-            .expect("valid pipeline configuration");
-        let spec = batched
+        let build = |np: usize| {
+            GpuSlabFft::<f32>::builder(shape)
+                .comm(comm.clone())
+                .devices(vec![Device::new(DeviceConfig::tiny(hbm))])
+                .np(np)
+                .nv(3)
+                .a2a_mode(A2aMode::PerSlab)
+                .build()
+        };
+        let suggested = match build(1) {
+            Err(PipelineError::InsufficientDeviceMemory { suggested_np, .. }) => suggested_np,
+            _ => None,
+        };
+        let Some(np) = suggested else {
+            return (None, f32::NAN);
+        };
+        let spec = build(np)
+            .expect("suggested np fits")
             .try_physical_to_fourier(&phys)
             .expect("batched fits");
 
         // Verify against the host path.
-        let mut cpu = SlabFftCpu::<f32>::new(shape, comm);
+        let mut cpu = SlabFftCpu::<f32>::new(shape, comm.clone());
         let reference = cpu.physical_to_fourier(&phys);
         let mut err = 0.0f32;
         for (a, b) in spec.iter().zip(&reference) {
@@ -57,16 +61,10 @@ fn sync_algorithm_fails_where_async_succeeds() {
                 err = err.max((*x - *y).abs());
             }
         }
-        (sync_err, np, err)
+        (Some(np), err)
     });
-    for (sync_err, np, err) in out {
-        assert!(
-            matches!(
-                sync_err,
-                Some(psdns::core::Error::Device(DeviceError::OutOfMemory { .. }))
-            ),
-            "sync algorithm should OOM: {sync_err:?}"
-        );
+    for (np, err) in out {
+        let np = np.expect("np = 1 build must fail with a suggested pencil count");
         assert!(np > 1, "batching must actually be needed (np = {np})");
         assert!(err < 1e-3, "batched transform wrong: {err}");
     }
@@ -119,8 +117,8 @@ fn device_memory_is_released_between_calls() {
 
 #[test]
 fn pencil_count_one_requires_full_slab_fit() {
-    // With np = 1 the "pipeline" degenerates to whole-slab staging; check
-    // consistency with the sync algorithm's memory appetite ordering.
+    // With np = 1 the pipeline is the whole-slab algorithm of Fig. 2, so
+    // batching must cut its device-memory appetite.
     let shape = LocalShape::new(N, 2, 0);
     let np1 = GpuSlabFft::<f32>::required_bytes_per_device(shape, 3, 1, 1);
     let np4 = GpuSlabFft::<f32>::required_bytes_per_device(shape, 3, 4, 1);

@@ -41,7 +41,6 @@ fn scalar_mixing_identical_on_cpu_and_gpu_backends() {
         };
         let run_gpu = {
             let dev = Device::new(DeviceConfig::tiny(64 << 20));
-            dev.timeline().set_enabled(false);
             let mut ns = NavierStokes::new(
                 GpuSlabFft::<f64>::builder(shape)
                     .comm(comm)

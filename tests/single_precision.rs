@@ -62,7 +62,6 @@ fn f32_out_of_core_pipeline_is_exact_vs_f32_host() {
     let out = Universe::run(2, move |comm| {
         let shape = LocalShape::new(n, 2, comm.rank());
         let dev = Device::new(DeviceConfig::tiny(16 << 20));
-        dev.timeline().set_enabled(false);
         let mut gpu = GpuSlabFft::<f32>::builder(shape)
             .comm(comm.clone())
             .devices(vec![dev])

@@ -35,7 +35,6 @@ fn cpu_and_async_gpu_solvers_track_each_other() {
             taylor_green(shape),
         );
         let dev = Device::new(DeviceConfig::tiny(64 << 20));
-        dev.timeline().set_enabled(false);
         let mut gpu = NavierStokes::new(
             GpuSlabFft::<f64>::builder(shape)
                 .comm(comm)
