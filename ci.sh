@@ -12,7 +12,8 @@
 #                       when a nightly toolchain with miri is installed
 #   backend matrix      ~30 s
 #   hazard analysis     ~5 s
-#   chaos suites        ~2 min (each capped at 600 s)
+#   chaos suites        ~2 min (each capped at 600 s; the sdc stage adds a
+#                       3 s armed stepbench run plus its first build)
 #   bench smoke         ~30 s
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -119,6 +120,12 @@ echo "==> chaos-sdc soak (silent corruption -> detect -> localize -> heal)"
 # integrity proptests (Parseval never-false-positives on fault-free fields,
 # checksums always catching flips) ride the workspace test stage above.
 timeout 600 cargo test --offline -q --test sdc_recovery
+# Armed end to end: a few seconds of the RK4 step under every integrity
+# monitor with ABFT checksums on every collective, in release. The
+# benchmark checks the physics between steps and exits nonzero on any
+# physics or integrity failure.
+timeout 600 cargo run --release --offline -q --manifest-path stepbench/Cargo.toml -- \
+    --workload slab_rk4_armed_n48 --seconds 3 --trace 1
 
 echo "==> bench smoke (perf regression gate vs committed baselines)"
 # One timed iteration per benchmark, compared against BENCH_fft.json /

@@ -97,7 +97,8 @@ impl Communicator {
         out
     }
 
-    /// Scatter equal chunks of `root`'s buffer to all ranks.
+    /// Scatter equal chunks of `root`'s buffer to all ranks. As in MPI, the
+    /// input on non-root ranks is ignored.
     pub fn scatter<T: Clone + Send + 'static>(&self, root: usize, data: &[T]) -> Vec<T> {
         self.verify_collective(CollectiveKind::Scatter, data.len());
         let tag = self.next_coll_tag();
@@ -116,7 +117,6 @@ impl Communicator {
             }
             mine
         } else {
-            assert!(data.is_empty() || !data.is_empty()); // non-root input ignored
             self.recv_raw(root, tag)
         }
     }
@@ -529,6 +529,117 @@ mod abft_tests {
                 Err(CommError::Corrupted { block, .. }) => assert_eq!(block, 0),
                 other => panic!("expected Corrupted, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn timed_out_exchange_leaves_no_retained_payloads() {
+        // Every transmission is lost, so each rank's verified receive times
+        // out; the payloads the senders retained for retransmission must
+        // not outlive the abandoned exchange.
+        let mut cfg = ChaosConfig::new(3);
+        cfg.drop = FaultPlan::with_prob(1.0);
+        let posted = std::sync::Barrier::new(2);
+        let out = Universe::run_chaos(2, ChaosEngine::new(cfg), |mut comm| {
+            comm.set_abft_checksums(true);
+            let req = comm.ialltoall(&[comm.rank() as f64; 2048]);
+            assert!(!comm.shared.retx.lock().is_empty());
+            posted.wait(); // both ranks' payloads are in the store
+            let err = req.wait_deadline(Duration::from_millis(50));
+            posted.wait(); // both ranks have given up
+            (err, comm.shared.retx.lock().len())
+        });
+        let Ok(out) = out else {
+            panic!("typed timeouts, not rank death: {out:?}");
+        };
+        for (err, retained) in out {
+            assert!(matches!(err, Err(CommError::Timeout { .. })), "{err:?}");
+            assert_eq!(retained, 0, "retransmission store leaked");
+        }
+    }
+
+    #[test]
+    fn late_send_after_timeout_retains_nothing() {
+        // Rank 1 gives up on the exchange before rank 0 has posted: rank 0's
+        // late send to rank 1 must not retain a payload nobody will claim.
+        let phase = std::sync::Barrier::new(2);
+        let out = Universe::run(2, |mut comm| {
+            comm.set_abft_checksums(true);
+            let send = [comm.rank() as f64; 1024];
+            let got = if comm.rank() == 1 {
+                let got = comm
+                    .ialltoall(&send)
+                    .wait_deadline(Duration::from_millis(50));
+                phase.wait(); // rank 1 has timed out
+                got
+            } else {
+                phase.wait();
+                comm.ialltoall(&send).wait_deadline(Duration::from_secs(10))
+            };
+            phase.wait(); // both ranks are done with the store
+            (got.map(|v| v[0] + v[512]), comm.shared.retx.lock().len())
+        });
+        assert!(
+            matches!(out[1].0, Err(CommError::Timeout { .. })),
+            "{:?}",
+            out[1].0
+        );
+        assert!(matches!(out[0].0, Ok(s) if s == 1.0), "{:?}", out[0].0);
+        assert_eq!(out[0].1, 0, "late send retained its payload");
+    }
+
+    #[test]
+    fn late_send_after_revoke_retains_nothing() {
+        // Rank 1 times out and revokes before rank 0 posts: a send on a
+        // revoked context retains nothing.
+        let phase = std::sync::Barrier::new(2);
+        let out = Universe::run(2, |mut comm| {
+            comm.set_abft_checksums(true);
+            let send = [comm.rank() as f64; 1024];
+            if comm.rank() == 1 {
+                let got = comm
+                    .ialltoall(&send)
+                    .wait_deadline(Duration::from_millis(50));
+                assert!(matches!(got, Err(CommError::Timeout { .. })), "{got:?}");
+                comm.revoke();
+                phase.wait();
+            } else {
+                phase.wait();
+                // Posted on the revoked context and abandoned at once.
+                drop(comm.ialltoall(&send));
+            }
+            phase.wait(); // both ranks are done with the store
+            comm.shared.retx.lock().len()
+        });
+        assert_eq!(
+            out,
+            vec![0, 0],
+            "send on a revoked context retained its payload"
+        );
+    }
+
+    #[test]
+    fn revoke_drops_retained_payloads_of_its_context() {
+        let out = Universe::run(2, |mut comm| {
+            comm.set_abft_checksums(true);
+            let other = comm.split(0, comm.rank());
+            // Posted but never waited on: only the revoke can release them.
+            let abandoned = comm.ialltoall(&[1.0f64; 4]);
+            let kept = other.ialltoall(&[2.0f64; 4]);
+            comm.barrier();
+            comm.revoke();
+            let retx = comm.shared.retx.lock();
+            let stale = retx.keys().filter(|k| k.0 == comm.ctx).count();
+            let live = retx.keys().filter(|k| k.0 == other.ctx).count();
+            drop(retx);
+            drop(abandoned);
+            let got = kept.wait();
+            (stale, live > 0, got)
+        });
+        for (stale, live, got) in out {
+            assert_eq!(stale, 0);
+            assert!(live, "other contexts keep their entries");
+            assert_eq!(got, vec![2.0; 4]);
         }
     }
 

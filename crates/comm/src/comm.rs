@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use psdns_chaos::FaultKind;
 use psdns_sync::channel::RecvTimeoutError;
 
-use crate::universe::{Packet, Shared};
+use crate::universe::{Abandoned, Packet, Shared};
 
 /// Errors surfaced by the messaging layer. Most misuse (wrong buffer sizes,
 /// rank out of range) panics like an MPI abort; these are the recoverable
@@ -173,9 +173,9 @@ impl Communicator {
     }
 
     /// Arm (or disarm) ABFT checksums on this rank's collectives: every
-    /// `alltoall`/`allgather`-family payload then carries a per-block FNV
-    /// sidecar, verified on receipt. A mismatch triggers a bounded
-    /// retransmission from the sender's retained clean copy under the
+    /// `alltoall`/`allgather`-family payload then carries a per-block
+    /// checksum sidecar, verified on receipt. A mismatch triggers a bounded
+    /// retransmission of the sender's retained clean payload under the
     /// chaos [`crate::RetryPolicy`]; exhaustion surfaces as a typed
     /// [`CommError::Corrupted`]. Arm it on *every* rank of the
     /// communicator (like any collective contract); clones, splits and
@@ -346,12 +346,16 @@ impl Communicator {
         self.send_packet(dst, tag, data, None);
     }
 
-    /// Checksummed collective send: computes the ABFT sidecar, retains a
-    /// clean copy for retransmission, then exposes the in-flight payload to
-    /// seeded bit-flip injection (site `flip:{gsrc}->{gdst}`). The flip
+    /// Checksummed collective send: computes the ABFT sidecar, retains the
+    /// clean payload for retransmission, then exposes the in-flight payload
+    /// to seeded bit-flip injection (site `flip:{gsrc}->{gdst}`). The flip
     /// happens strictly *after* the sidecar is computed, so any transit
-    /// corruption — any bit, any block — is detectable on receipt.
-    pub(crate) fn send_coll<T: crate::AbftData>(&self, dst: usize, tag: u64, mut data: Vec<T>) {
+    /// corruption is detectable on receipt.
+    ///
+    /// The packet and the retransmission store share one `Arc`'d buffer;
+    /// only a flip that actually fires copies it (`Arc::make_mut`), so the
+    /// healthy path retains without copying.
+    pub(crate) fn send_coll<T: crate::AbftData>(&self, dst: usize, tag: u64, data: Vec<T>) {
         if !self.abft {
             return self.send_raw(dst, tag, data);
         }
@@ -359,24 +363,39 @@ impl Communicator {
         let gdst = self.members[dst];
         let gsrc = self.members[self.rank];
         let crcs = crate::abft::block_checksums(&data);
-        self.shared
-            .retx
-            .lock()
-            .insert((self.ctx, tag, gsrc, gdst), Box::new(data.clone()));
+        let mut data = Arc::new(data);
+        {
+            // Nobody will claim a copy of a message whose receiver already
+            // gave up on the exchange (its tombstone is here) or whose
+            // context is revoked. Checking under the store's lock orders
+            // this against both the receiver's tombstone and the revoke's
+            // purge.
+            let key = (self.ctx, tag, gsrc, gdst);
+            let mut retx = self.shared.retx.lock();
+            let abandoned = retx.get(&key).is_some_and(|e| e.is::<Abandoned>());
+            if abandoned {
+                retx.remove(&key);
+            } else if !self.shared.ctx_revoked(self.ctx) {
+                retx.insert(key, Box::new(Arc::clone(&data)));
+            }
+        }
         if let Some(ch) = &self.shared.chaos {
             let site = format!("flip:{gsrc}->{gdst}");
             if let Some(k) = ch.check_seq(gsrc, &site, FaultKind::BitFlip) {
-                crate::abft::flip_payload_bit(&mut data, ch.draw(&site, FaultKind::BitFlip, k));
+                let draw = ch.draw(&site, FaultKind::BitFlip, k);
+                crate::abft::flip_payload_bit(Arc::make_mut(&mut data).as_mut_slice(), draw);
             }
         }
         self.send_packet(dst, tag, data, Some(crcs));
     }
 
-    fn send_packet<T: Clone + Send + 'static>(
+    /// Post one packet carrying `payload` (a `Vec<T>`, or an `Arc<Vec<T>>`
+    /// on checksummed traffic) through the chaos transport.
+    fn send_packet<P: Clone + Send + 'static>(
         &self,
         dst: usize,
         tag: u64,
-        data: Vec<T>,
+        data: P,
         crcs: Option<Vec<u64>>,
     ) {
         assert!(dst < self.size(), "destination rank {dst} out of range");
@@ -487,18 +506,17 @@ impl Communicator {
         tag: u64,
         deadline: Option<Instant>,
     ) -> Result<Vec<T>, CommError> {
-        self.recv_match_deadline_crc(src, tag, deadline)
-            .map(|(v, _)| v)
+        downcast(self.recv_match_packet(src, tag, deadline)?, src, tag)
     }
 
-    /// Like [`Self::recv_match_deadline`] but keeps the ABFT sidecar (if
-    /// the sender attached one) alongside the payload.
-    pub(crate) fn recv_match_deadline_crc<T: Send + 'static>(
+    /// Like [`Self::recv_match_deadline`] but returns the matched packet
+    /// itself, ABFT sidecar and untyped payload included.
+    fn recv_match_packet(
         &self,
         src: usize,
         tag: u64,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<T>, Option<Vec<u64>>), CommError> {
+    ) -> Result<Packet, CommError> {
         assert!(src < self.size(), "source rank {src} out of range");
         let gsrc = self.members[src];
         let gme = self.members[self.rank];
@@ -511,7 +529,7 @@ impl Communicator {
                 let mut pend = self.shared.pending[gme][gsrc].lock();
                 if let Some(pos) = pend.iter().position(|p| p.ctx == self.ctx && p.tag == tag) {
                     let pkt = pend.remove(pos).expect("position valid");
-                    return downcast_crc(pkt, src, tag);
+                    return Ok(pkt);
                 }
             }
             // Pull from the channel (blocking or polling).
@@ -548,7 +566,7 @@ impl Communicator {
                 Some(pkt) => {
                     if let Some(pkt) = self.shared.ingest(gme, pkt) {
                         if pkt.ctx == self.ctx && pkt.tag == tag {
-                            return downcast_crc(pkt, src, tag);
+                            return Ok(pkt);
                         }
                         self.shared.pending[gme][gsrc].lock().push_back(pkt);
                     }
@@ -592,7 +610,7 @@ impl Communicator {
                         {
                             let pkt = pend.remove(pos).expect("position valid");
                             drop(pend);
-                            return downcast_crc(pkt, src, tag);
+                            return Ok(pkt);
                         }
                         return Err(CommError::RankFailed { rank: gsrc, epoch });
                     }
@@ -613,21 +631,27 @@ impl Communicator {
     }
 
     /// Verified collective receive with an optional deadline. On a checksum
-    /// mismatch the receiver pulls the sender's retained clean copy from
+    /// mismatch the receiver pulls the sender's retained clean payload from
     /// the retransmission store — itself exposed to seeded bit-flip
     /// injection at site `retx:{gsrc}->{gme}`, so a persistently corrupt
     /// link stays representable — up to `RetryPolicy::max_retries` times;
-    /// exhaustion yields a typed [`CommError::Corrupted`].
+    /// exhaustion yields a typed [`CommError::Corrupted`]. A caller that
+    /// gives up on the exchange after an error calls
+    /// [`Self::abandon_coll`].
     pub(crate) fn recv_coll_deadline<T: crate::AbftData>(
         &self,
         src: usize,
         tag: u64,
         deadline: Option<Instant>,
     ) -> Result<Vec<T>, CommError> {
-        let (mut data, crcs) = self.recv_match_deadline_crc(src, tag, deadline)?;
-        let Some(crcs) = crcs else {
-            return Ok(data);
+        let mut pkt = self.recv_match_packet(src, tag, deadline)?;
+        let Some(crcs) = pkt.crcs.take() else {
+            return downcast(pkt, src, tag);
         };
+        let mut data = *pkt
+            .payload
+            .downcast::<Arc<Vec<T>>>()
+            .map_err(|_| CommError::TypeMismatch { src, tag })?;
         let gsrc = self.members[src];
         let gme = self.members[self.rank];
         let key = (self.ctx, tag, gsrc, gme);
@@ -640,33 +664,58 @@ impl Communicator {
         let mut attempt = 0u32;
         loop {
             let Some(block) = crate::abft::first_corrupt_block(&data, &crcs) else {
+                // Drop the store's reference first: on the healthy path the
+                // packet's is then the only one left, so ownership moves out
+                // without a copy.
                 self.shared.retx.lock().remove(&key);
-                return Ok(data);
+                return Ok(Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone()));
             };
             if let Some(t) = &self.tracer {
                 t.incr_faults();
             }
             if attempt >= policy.max_retries {
-                self.shared.retx.lock().remove(&key);
                 return Err(CommError::Corrupted { rank: src, block });
             }
-            // "Retransmit": take a fresh copy of the sender's clean
-            // payload. A missing or mistyped entry means the store itself
-            // was damaged — treat it as unrecoverable corruption.
+            // "Retransmit": resend the sender's whole clean payload. A
+            // missing or mistyped entry means the store itself was damaged
+            // — treat it as unrecoverable corruption.
             data = {
                 let retx = self.shared.retx.lock();
-                let Some(clean) = retx.get(&key).and_then(|b| b.downcast_ref::<Vec<T>>()) else {
+                let Some(clean) = retx.get(&key).and_then(|b| b.downcast_ref::<Arc<Vec<T>>>())
+                else {
                     return Err(CommError::Corrupted { rank: src, block });
                 };
-                clean.clone()
+                Arc::clone(clean)
             };
             if let Some(ch) = &self.shared.chaos {
                 let site = format!("retx:{gsrc}->{gme}");
                 if let Some(k) = ch.check_seq(gme, &site, FaultKind::BitFlip) {
-                    crate::abft::flip_payload_bit(&mut data, ch.draw(&site, FaultKind::BitFlip, k));
+                    let draw = ch.draw(&site, FaultKind::BitFlip, k);
+                    crate::abft::flip_payload_bit(Arc::make_mut(&mut data).as_mut_slice(), draw);
                 }
             }
             attempt += 1;
+        }
+    }
+
+    /// Give up on checksummed exchange `tag` for sources `first..` (the
+    /// ones a failed fan-in never claimed). Nobody would claim what those
+    /// senders retained for this rank, so it is dropped; a sender that has
+    /// not posted yet finds an [`Abandoned`] tombstone instead and retains
+    /// nothing. A revoked context needs no tombstones, since its sends
+    /// retain nothing.
+    pub(crate) fn abandon_coll(&self, tag: u64, first: usize) {
+        if !self.abft {
+            return;
+        }
+        let gme = self.members[self.rank];
+        let mut retx = self.shared.retx.lock();
+        let revoked = self.shared.ctx_revoked(self.ctx);
+        for &gsrc in &self.members[first..] {
+            let key = (self.ctx, tag, gsrc, gme);
+            if retx.remove(&key).is_none() && !revoked {
+                retx.insert(key, Box::new(Abandoned));
+            }
         }
     }
 
@@ -926,18 +975,9 @@ impl Communicator {
 }
 
 fn downcast<T: Send + 'static>(pkt: Packet, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
-    downcast_crc(pkt, src, tag).map(|(v, _)| v)
-}
-
-fn downcast_crc<T: Send + 'static>(
-    pkt: Packet,
-    src: usize,
-    tag: u64,
-) -> Result<(Vec<T>, Option<Vec<u64>>), CommError> {
-    let crcs = pkt.crcs;
     pkt.payload
         .downcast::<Vec<T>>()
-        .map(|b| (*b, crcs))
+        .map(|b| *b)
         .map_err(|_| CommError::TypeMismatch { src, tag })
 }
 

@@ -57,7 +57,8 @@ impl<T: crate::AbftData> Request<T> {
     /// with a typed [`CommError::Timeout`] when any peer's chunk has not
     /// arrived within `timeout`. Chunks received before the timeout are
     /// consumed; the request is spent either way (as with an MPI request
-    /// after `MPI_Cancel`).
+    /// after `MPI_Cancel`), and with ABFT armed the payloads retained for
+    /// the unclaimed chunks are released.
     pub fn wait_deadline(self, timeout: Duration) -> Result<Vec<T>, CommError> {
         let _span = self.wait_span();
         self.comm.record_wait(self.tag, true);
@@ -65,9 +66,16 @@ impl<T: crate::AbftData> Request<T> {
         let size = self.comm.size();
         let mut out = Vec::with_capacity(size * self.chunk);
         for src in 0..size {
-            let piece = self
+            let piece = match self
                 .comm
-                .recv_coll_deadline::<T>(src, self.tag, Some(deadline))?;
+                .recv_coll_deadline::<T>(src, self.tag, Some(deadline))
+            {
+                Ok(piece) => piece,
+                Err(e) => {
+                    self.comm.abandon_coll(self.tag, src);
+                    return Err(e);
+                }
+            };
             debug_assert_eq!(piece.len(), self.chunk);
             out.extend(piece);
         }

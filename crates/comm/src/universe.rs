@@ -25,11 +25,12 @@ pub(crate) struct Packet {
     /// True when this message was duplicated by the chaos layer (both the
     /// original and the copy carry the flag; the second arrival is dropped).
     pub dup: bool,
-    /// ABFT sidecar: one FNV-1a checksum per payload block, computed by the
+    /// ABFT sidecar: one checksum per payload block, computed by the
     /// sender *before* any in-transit corruption can occur. `None` on
     /// unchecksummed traffic (point-to-point, non-ABFT collectives).
     pub crcs: Option<Vec<u64>>,
-    /// The payload, a `Vec<T>` behind `Any`.
+    /// The payload behind `Any`: a `Vec<T>`, or on checksummed traffic an
+    /// `Arc<Vec<T>>` shared with the retransmission store.
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -81,15 +82,28 @@ pub(crate) struct Shared {
     /// out of a rooted barrier).
     revoked: Mutex<HashSet<u64>>,
     /// Retransmission store for ABFT collectives: the sender's clean payload
-    /// (a `Vec<T>` behind `Any`), keyed by `(ctx, tag, gsrc, gdst)`. Each
-    /// collective draws a unique tag, so the key identifies one message.
-    /// The receiver removes the entry once the checksums verify; a mismatch
-    /// pulls a fresh copy from here (the bounded "resend").
+    /// (an `Arc<Vec<T>>` behind `Any`, shared with the in-flight packet
+    /// until a fault forces a copy), keyed by `(ctx, tag, gsrc, gdst)`.
+    /// Each collective draws a unique tag, so the key identifies one
+    /// message. The receiver removes the entry once the checksums verify;
+    /// a mismatch pulls the payload again from here (the bounded "resend").
+    /// A receiver that gives up on an exchange drops the entries it never
+    /// claimed and leaves an [`Abandoned`] tombstone for each sender that
+    /// has not posted yet, so a late send retains nothing. Revoking a
+    /// context drops all of its entries, and sends on a revoked context
+    /// retain nothing.
     pub retx: Mutex<RetxStore>,
 }
 
-/// Key: `(ctx, tag, gsrc, gdst)`; value: the sender's clean payload.
+/// Key: `(ctx, tag, gsrc, gdst)`; value: the sender's clean payload, or an
+/// [`Abandoned`] tombstone.
 pub type RetxStore = HashMap<(u64, u64, usize, usize), Box<dyn Any + Send>>;
+
+/// Retransmission-store tombstone: the receiver abandoned this message's
+/// exchange before the sender posted it. The sender's post consumes the
+/// tombstone instead of retaining its payload; a sender that never posts
+/// (it died) leaves the tombstone until its context is revoked.
+pub(crate) struct Abandoned;
 
 /// Death record of one rank.
 #[derive(Clone, Debug)]
@@ -180,9 +194,11 @@ impl Shared {
         self.departed.lock().get(&rank).map(|d| d.epoch)
     }
 
-    /// Mark a communicator context revoked.
+    /// Mark a communicator context revoked. Its collectives are abandoned,
+    /// so payloads retained for their retransmission are dropped too.
     pub(crate) fn revoke_ctx(&self, ctx: u64) {
         self.revoked.lock().insert(ctx);
+        self.retx.lock().retain(|k, _| k.0 != ctx);
     }
 
     /// True when `ctx` has been revoked.

@@ -267,48 +267,87 @@ pub fn cross_orthogonality_local<T: Real>(
     wp: &[PhysicalField<T>],
     nl: &[PhysicalField<T>; 3],
 ) -> f64 {
+    cross_orthogonality_energy_local(up, wp, nl).0
+}
+
+/// [`cross_orthogonality_local`] and [`physical_energy_local`]`(nl)` in one
+/// pass over the cross product. The energy is bit-identical to the
+/// separate call: each component's squares are summed in the same order.
+///
+/// Any non-finite value of `u`, `ω` or `u×ω` is a violation outright
+/// (residual 1), which a NaN-dropping `f64::max` could otherwise hide.
+pub fn cross_orthogonality_energy_local<T: Real>(
+    up: &[PhysicalField<T>],
+    wp: &[PhysicalField<T>],
+    nl: &[PhysicalField<T>; 3],
+) -> (f64, f64) {
     let len = nl[0].data.len();
-    let mut worst = 0.0f64;
+    let (n, u, w) = (
+        components(nl, len),
+        components(up, len),
+        components(wp, len),
+    );
+    let mut energy = [0.0f64; 3];
+    // Largest squared ratios `(n̂·v̂)² / (|n̂|²|v̂|²)` against u and ω, kept
+    // apart so the two running maxima do not serialize; the square root is
+    // taken once at the end.
+    let mut worst_u = 0.0f64;
+    let mut worst_w = 0.0f64;
+    let mut finite = true;
     for i in 0..len {
-        let n = [
-            nl[0].data[i].to_f64(),
-            nl[1].data[i].to_f64(),
-            nl[2].data[i].to_f64(),
-        ];
-        // A corrupted value may itself be Inf/NaN — a violation outright
-        // (and one `f64::max` would silently drop as NaN).
-        if n.iter().any(|x| !x.is_finite()) {
-            return 1.0;
+        let nv = [n[0][i].to_f64(), n[1][i].to_f64(), n[2][i].to_f64()];
+        let uv = [u[0][i].to_f64(), u[1][i].to_f64(), u[2][i].to_f64()];
+        let wv = [w[0][i].to_f64(), w[1][i].to_f64(), w[2][i].to_f64()];
+        for (e, x) in energy.iter_mut().zip(nv) {
+            *e += x * x;
         }
-        // Scale each vector by its largest component before squaring, so a
-        // blasted ~1e307 value cannot overflow the norm to Inf and hide the
-        // offending point behind a 0/Inf ratio.
-        let ns = n.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        if ns == 0.0 {
-            continue;
+        finite &= nv
+            .iter()
+            .chain(&uv)
+            .chain(&wv)
+            .fold(true, |ok, x| ok & x.is_finite());
+        let (nh, nn2) = max_abs_scaled(nv);
+        let (uh, un2) = max_abs_scaled(uv);
+        let (wh, wn2) = max_abs_scaled(wv);
+        let du = nh[0] * uh[0] + nh[1] * uh[1] + nh[2] * uh[2];
+        let dw = nh[0] * wh[0] + nh[1] * wh[1] + nh[2] * wh[2];
+        // A scaled norm² is 0 for the zero vector and ≥ 1 otherwise, so the
+        // floor only turns "no constraint here" into a zero ratio.
+        let ru = du * du / (nn2 * un2).max(1.0);
+        let rw = dw * dw / (nn2 * wn2).max(1.0);
+        if ru > worst_u {
+            worst_u = ru;
         }
-        let nh = [n[0] / ns, n[1] / ns, n[2] / ns];
-        let nn = (nh[0] * nh[0] + nh[1] * nh[1] + nh[2] * nh[2]).sqrt();
-        for fields in [up, wp] {
-            let v = [
-                fields[0].data[i].to_f64(),
-                fields[1].data[i].to_f64(),
-                fields[2].data[i].to_f64(),
-            ];
-            if v.iter().any(|x| !x.is_finite()) {
-                return 1.0;
-            }
-            let vs = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-            if vs == 0.0 {
-                continue;
-            }
-            let vh = [v[0] / vs, v[1] / vs, v[2] / vs];
-            let vn = (vh[0] * vh[0] + vh[1] * vh[1] + vh[2] * vh[2]).sqrt();
-            let dot = (nh[0] * vh[0] + nh[1] * vh[1] + nh[2] * vh[2]).abs();
-            worst = worst.max(dot / (nn * vn));
+        if rw > worst_w {
+            worst_w = rw;
         }
     }
-    worst
+    let ortho = if finite {
+        worst_u.max(worst_w).sqrt()
+    } else {
+        1.0
+    };
+    let n3 = (nl[0].shape.n as f64).powi(3);
+    (ortho, (energy[0] + energy[1] + energy[2]) / n3)
+}
+
+/// The three component slices of a vector field, cut to `len` so the hot
+/// loop indexes them without bounds checks.
+fn components<T>(f: &[PhysicalField<T>], len: usize) -> [&[T]; 3] {
+    [&f[0].data[..len], &f[1].data[..len], &f[2].data[..len]]
+}
+
+/// `v` times the reciprocal of its largest magnitude, with the squared norm
+/// of the result (zero for the zero vector). Scaling before squaring keeps
+/// a blasted ~1e307 value from overflowing the norm to Inf and hiding the
+/// offending point behind a 0/Inf ratio; the floor at the smallest normal
+/// keeps the reciprocal finite for subnormal vectors.
+#[inline(always)]
+fn max_abs_scaled(v: [f64; 3]) -> ([f64; 3], f64) {
+    let m = v[0].abs().max(v[1].abs()).max(v[2].abs());
+    let r = 1.0 / m.max(f64::MIN_POSITIVE);
+    let h = [v[0] * r, v[1] * r, v[2] * r];
+    (h, h[0] * h[0] + h[1] * h[1] + h[2] * h[2])
 }
 
 /// Count of non-finite values in a spectral field set (local).
@@ -518,6 +557,36 @@ mod tests {
         let (clean, dirty) = out[0];
         assert!(clean < 1e-12, "clean residual {clean}");
         assert!(dirty > 1e-3, "corruption invisible: {dirty}");
+    }
+
+    #[test]
+    fn fused_orthogonality_pass_matches_separate_calls() {
+        let s = LocalShape::new(8, 1, 0);
+        let u = crate::init::random_solenoidal::<f64>(s, 3.0, 17);
+        let out = Universe::run(1, move |comm| {
+            let mut fft = SlabFftCpu::<f64>::new(s, comm);
+            let w = crate::ops::curl(&u);
+            let all: Vec<SpectralField<f64>> = u.iter().chain(w.iter()).cloned().collect();
+            let phys = fft.fourier_to_physical(&all);
+            let (up, wp) = phys.split_at(3);
+            let mut nl = fft.cross_product(up, wp);
+            let fused = cross_orthogonality_energy_local(up, wp, &nl);
+            let energy = physical_energy_local(&nl);
+            // A non-finite product value is a violation outright, and the
+            // energy still sums every value.
+            nl[1].data[5] = f64::INFINITY;
+            let dirty = cross_orthogonality_energy_local(up, wp, &nl);
+            (fused, energy, dirty, physical_energy_local(&nl))
+        });
+        let ((ortho, fused_e), energy, (dirty, dirty_e), inf_e) = out[0];
+        assert_eq!(
+            fused_e.to_bits(),
+            energy.to_bits(),
+            "energy must be bit-identical"
+        );
+        assert!(ortho < 1e-12, "clean residual {ortho}");
+        assert_eq!(dirty, 1.0);
+        assert_eq!(dirty_e.to_bits(), inf_e.to_bits());
     }
 
     proptest! {

@@ -137,10 +137,14 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
         // for accelerator backends (see Transform3d::cross_product).
         let nl = self.backend.cross_product(up, wp);
         if self.integrity.cross_tol.is_some() {
-            let r = integrity::cross_orthogonality_local(up, wp, &nl);
+            // One pass yields the orthogonality residual and the Parseval
+            // energy of the product.
+            let (r, e) = integrity::cross_orthogonality_energy_local(up, wp, &nl);
             self.acc.ortho_max = self.acc.ortho_max.max(r);
-        }
-        if parseval {
+            if parseval {
+                self.acc.phys_energy += e;
+            }
+        } else if parseval {
             self.acc.phys_energy += integrity::physical_energy_local(&nl);
         }
         let mut spec = self.backend.physical_to_fourier(&nl);
